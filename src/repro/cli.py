@@ -452,6 +452,24 @@ def _validate_engine_args(parser, args) -> None:
         args.islands = 4
     if args.islands < 1:
         parser.error("--islands must be at least 1")
+    # Every island needs at least one cell of each axis it splits.
+    ni, nj, nk = args.shape
+    if args.grid is not None:
+        splits = (
+            ("--grid", args.grid[0], "i", ni),
+            ("--grid", args.grid[1], "j", nj),
+        )
+    elif args.variant == "B":
+        splits = (("--islands", args.islands, "j", nj),)
+    else:
+        splits = (("--islands", args.islands, "i", ni),)
+    for flag, parts, axis, length in splits:
+        if parts > length:
+            parser.error(
+                f"{flag} splits axis {axis} into {parts} islands, but "
+                f"--shape {ni} {nj} {nk} gives it only {length} cells; "
+                "use fewer islands or a larger grid"
+            )
     if args.halo_threshold is not None and args.halo != "hybrid":
         parser.error(
             "--halo-threshold tunes the hybrid policy; add --halo hybrid"

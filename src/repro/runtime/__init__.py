@@ -31,7 +31,6 @@ from .backends import (
 from .config import (
     BACKEND_KEYS,
     EngineConfig,
-    resolve_engine_config,
 )
 from .diagnostics import (
     RunHistory,
@@ -141,7 +140,6 @@ __all__ = [
     "measure_tiled_engine",
     "native_available",
     "parse_fault_spec",
-    "resolve_engine_config",
     "run_with_recovery",
     "verify_islands",
     "verify_variants",

@@ -34,17 +34,22 @@ Backends know nothing about retries, faults or telemetry — that is the
 resilience layer's job (:mod:`repro.runtime.resilience`) — and they
 never read clocks: wall-time attribution happens around them.
 
-Besides the whole-step :meth:`IslandBackend.execute_island` used by the
-``recompute`` halo policy, every backend also supports *stage-granular*
-execution for the ``exchange`` and ``hybrid`` policies: after
-:meth:`IslandBackend.prepare_exchange` installs a
-:class:`~repro.core.halo.HaloLedger`, each
-:meth:`IslandBackend.execute_island_stage` call computes one stage over
-the island's owned slab into a persistent per-stage buffer, and the
-runner copies boundary planes between those buffers before the next
-stage.  Stage buffers always persist across steps (halo copies target
-them), so exchange-mode steps are allocation-free after warm-up in
-every backend.
+Each backend has two execution paths, one per kind of halo policy:
+
+* **Recompute** (:meth:`IslandBackend.execute_island`): an island
+  advances a *super-step* of ``steps`` chained sub-steps over its
+  composed halo, then writes its part of the output.  Temporal blocking
+  with ``sync_every = s`` gives super-steps of depth ``s``; the plain
+  one-sync-per-step run is the depth-1 super-step, not a separate path.
+* **Stage-granular** (:meth:`IslandBackend.execute_island_stage`), for
+  the ``exchange`` and ``hybrid`` policies: after
+  :meth:`IslandBackend.prepare_exchange` installs a
+  :class:`~repro.core.halo.HaloLedger`, each call computes one stage
+  over the island's owned slab into a persistent per-stage buffer, and
+  the runner copies boundary planes between those buffers before the
+  next stage.  Stage buffers always persist across steps (halo copies
+  target them), so exchange-mode steps are allocation-free after
+  warm-up in every backend.
 """
 
 from __future__ import annotations
@@ -112,15 +117,39 @@ class IslandResult:
     block_seconds: Tuple[float, ...] = ()
     stage_seconds: Optional[Dict[str, float]] = field(default=None)
 
+    def merge(self, other: "IslandResult") -> "IslandResult":
+        """Add ``other``'s counters and seconds into this result.
+
+        One island's total over several sweeps — the sub-steps of a
+        super-step, or the stages of an exchange step — is the sum of
+        each sweep's allocations, reuses and seconds; blocks are
+        concatenated and per-stage seconds summed by stage name.
+        """
+        self.stage_allocations += other.stage_allocations
+        self.scratch_allocations += other.scratch_allocations
+        self.reused += other.reused
+        self.seconds += other.seconds
+        if other.block_seconds:
+            self.block_seconds = tuple(self.block_seconds) + tuple(
+                other.block_seconds
+            )
+        if other.stage_seconds:
+            merged = dict(self.stage_seconds or {})
+            for name, seconds in other.stage_seconds.items():
+                merged[name] = merged.get(name, 0.0) + seconds
+            self.stage_seconds = merged
+        return self
+
 
 class IslandBackend:
     """Base class: per-island resources behind a uniform lifecycle.
 
     Concrete backends register under :attr:`key` in :data:`BACKENDS` and
     are constructed via :meth:`from_config` /
-    :func:`create_backend`.  ``plans`` maps island index to the backend's
-    per-island execution object where one exists (compiled and tiled
-    backends); the interpreter keeps arenas instead.
+    :func:`create_backend`.  ``plans[q]`` holds island ``q``'s ``s``
+    per-sub-step execution objects, in execution order, where the
+    backend compiles any (compiled and tiled backends); the interpreter
+    keeps one stage arena per sub-step in ``arenas[q]`` instead.
     """
 
     key: ClassVar[str]
@@ -143,11 +172,11 @@ class IslandBackend:
         self.dtype = np.dtype(dtype)
         self.reuse_buffers = reuse_buffers
         self.timed = timed
-        self.plans: Dict[int, object] = {}
+        self.plans: Dict[int, Tuple[object, ...]] = {}
         self._ledger: Optional[HaloLedger] = None
         self._stage_buffers: Dict[int, List[Optional[ArrayRegion]]] = {}
         self._stage_programs: Dict[int, StencilProgram] = {}
-        self._step_plans: Optional[Tuple[Tuple[object, ...], ...]] = None
+        self._step_plans: Tuple[Tuple[object, ...], ...] = ()
         self._recurrent: Optional[str] = None
 
     @classmethod
@@ -170,79 +199,34 @@ class IslandBackend:
             timed=config.collect_timings,
         )
 
-    # -- lifecycle ------------------------------------------------------
-    def prepare(self) -> None:
-        """Build every island's persistent resources (called once)."""
-        raise NotImplementedError
-
-    def execute_island(
-        self,
-        island,
-        inputs: Mapping[str, ArrayRegion],
-        out: np.ndarray,
-    ) -> IslandResult:
-        """Compute one island's part into ``out``; report its traffic."""
-        raise NotImplementedError
-
-    def refresh(self, island_index: int) -> None:
-        """Replace one island's persistent compute state before a retry.
-
-        A sweep that died mid-execution leaves arena liveness bookkeeping
-        or workspace bindings indeterminate, so the retry starts from
-        fresh storage.  Only the failed island pays — its neighbours keep
-        their warm buffers, exactly the isolation the islands approach
-        buys.
-        """
-        if self._ledger is not None:
-            self._refresh_stage_state(island_index)
-        elif self._step_plans is not None:
-            self._refresh_super(island_index)
-        else:
-            self._refresh_plan(island_index)
-
-    def _refresh_plan(self, island_index: int) -> None:
-        """Replace one island's whole-step compute state (recompute mode)."""
-        raise NotImplementedError
-
-    # -- super-step execution (temporal blocking, recompute policy) -----
-    def prepare_super(
+    # -- recompute execution: one super-step of ``steps`` sub-steps ------
+    def prepare(
         self,
         step_plans: Tuple[Tuple[object, ...], ...],
-        recurrent: str,
+        recurrent: Optional[str],
     ) -> None:
-        """Build per-sub-step state for temporal-blocked super-steps.
+        """Build every island's per-sub-step compute state (called once).
 
-        Called instead of :meth:`prepare` when ``sync_every > 1`` under
-        the recompute policy.  ``step_plans[island]`` holds the ``s``
-        composed :class:`~repro.stencil.halo.HaloPlan` objects in
-        execution order (see
-        :func:`repro.stencil.halo.composed_step_plans`); ``recurrent``
-        names the input field that receives each sub-step's output.
-        Every sub-step gets its *own* persistent compute state (arena /
-        workspace): one shared arena would recycle sub-step ``k``'s
-        output buffers at the start of sub-step ``k+1``, exactly while
-        they are being read.
+        ``step_plans[island]`` holds the ``s = sync_every`` composed
+        :class:`~repro.stencil.halo.HaloPlan` objects in execution order
+        (see :func:`repro.stencil.halo.composed_step_plans`); with
+        ``s = 1`` that is just the island's own halo plan, so a whole
+        time step is the depth-1 super-step.  ``recurrent`` names the
+        input field that receives each sub-step's output (``None`` when
+        ``s = 1``).  Every sub-step gets its *own* persistent compute
+        state (arena / workspace): one shared arena would recycle
+        sub-step ``k``'s output buffers at the start of sub-step
+        ``k+1``, exactly while they are being read.
         """
         self._step_plans = step_plans
         self._recurrent = recurrent
-        self._prepare_super_state()
+        self._prepare_step_state()
 
-    def _prepare_super_state(self) -> None:
+    def _prepare_step_state(self) -> None:
         """Hook: build per-(island, sub-step) compute state."""
         raise NotImplementedError
 
-    @property
-    def temporal(self) -> bool:
-        """True when prepared for super-steps (``prepare_super`` ran).
-
-        A temporally-blocked backend has *only* per-sub-step state — no
-        plain whole-step plans — so callers must route every execution
-        through :meth:`execute_island_super`, even a remainder
-        super-step that advances a single step.
-        """
-        return self._step_plans is not None
-
-    def execute_island_super(
+    def execute_island(
         self,
         island,
         inputs: Mapping[str, ArrayRegion],
@@ -255,11 +239,63 @@ class IslandBackend:
         only on a run's remainder super-step, where the deeper plans do
         some extra redundant work but stay bit-identical), feeding each
         sub-step's output region into the next sub-step's recurrent
-        input, and extracts the island's part from the last sub-step.
+        input, and writes the island's part of the last sub-step into
+        ``out``; returns the island's traffic.
+        """
+        current: Mapping[str, ArrayRegion] = inputs
+        total = IslandResult()
+        produced = None
+        for k in range(steps):
+            result, produced = self._run_sub_step(island, k, current, out)
+            total.merge(result)
+            if k + 1 < steps:
+                current = self._chain_inputs(inputs, produced)
+        if produced is not None:
+            out[island.part.slices()] = produced.view(island.part)
+        return total
+
+    def _run_sub_step(
+        self,
+        island,
+        k: int,
+        inputs: Mapping[str, ArrayRegion],
+        out: np.ndarray,
+    ) -> Tuple[IslandResult, Optional[ArrayRegion]]:
+        """Hook: run one island's sub-step ``k``.
+
+        Returns the sweep's traffic and the output region it produced,
+        or ``None`` when the sweep wrote the island's part of ``out``
+        itself.
         """
         raise NotImplementedError
 
-    def _refresh_super(self, island_index: int) -> None:
+    def execute_island_super(
+        self,
+        island,
+        inputs: Mapping[str, ArrayRegion],
+        out: np.ndarray,
+        steps: int,
+    ) -> IslandResult:
+        # A forwarding name only: the engine benchmark's span tracer
+        # (enginebench/spans.py) looks it up by name on the live
+        # backend.  Engine code calls :meth:`execute_island`.
+        return self.execute_island(island, inputs, out, steps)
+
+    def refresh(self, island_index: int) -> None:
+        """Replace one island's persistent compute state before a retry.
+
+        A sweep that died mid-execution leaves arena liveness bookkeeping
+        or workspace bindings indeterminate, so the retry starts from
+        fresh storage.  Only the failed island pays — its neighbours keep
+        their warm buffers, exactly the isolation the islands approach
+        buys.
+        """
+        if self._ledger is not None:
+            self._refresh_stage_state(island_index)
+        else:
+            self._refresh_step_state(island_index)
+
+    def _refresh_step_state(self, island_index: int) -> None:
         """Hook: replace one island's per-sub-step state before a retry."""
         raise NotImplementedError
 
@@ -509,80 +545,40 @@ class FlatInterpreterBackend(IslandBackend):
 
     key = "interpreter"
 
-    def prepare(self) -> None:
-        self._arenas: Dict[int, StageArena] = {}
-        self._scratch: Dict[int, EvalArena] = {}
-        if self.reuse_buffers:
-            for island in self.decomposition.islands:
-                self._arenas[island.index] = StageArena(self.dtype)
-                self._scratch[island.index] = EvalArena(self.dtype)
+    def _prepare_step_state(self) -> None:
+        # ``arenas[q][k]`` holds sub-step k's stage outputs; the ufunc
+        # scratch is shared by an island's sub-steps.  Without buffer
+        # reuse every sweep allocates afresh (``None`` arenas).
+        self.arenas: Dict[int, Tuple[Optional[StageArena], ...]] = {}
+        self._scratch: Dict[int, Optional[EvalArena]] = {}
+        for island in self.decomposition.islands:
+            self._refresh_step_state(island.index)
 
-    def execute_island(self, island, inputs, out) -> IslandResult:
+    def _refresh_step_state(self, island_index: int) -> None:
+        reuse = self.reuse_buffers
+        self.arenas[island_index] = tuple(
+            StageArena(self.dtype) if reuse else None
+            for _ in self._step_plans[island_index]
+        )
+        self._scratch[island_index] = EvalArena(self.dtype) if reuse else None
+
+    def _run_sub_step(self, island, k, inputs, out):
         results, stats = execute_plan(
             self.program,
-            island.halo_plan,
+            self._step_plans[island.index][k],
             inputs,
             dtype=self.dtype,
-            arena=self._arenas.get(island.index),
-            scratch=self._scratch.get(island.index),
+            arena=self.arenas[island.index][k],
+            scratch=self._scratch[island.index],
             collect_timing=self.timed,
         )
-        out[island.part.slices()] = results[self.output_field].view(island.part)
-        return IslandResult(
+        result = IslandResult(
             stage_allocations=stats.allocations,
             scratch_allocations=stats.scratch_allocations,
             reused=stats.reused_buffers + stats.scratch_reused,
             stage_seconds=stats.stage_seconds if self.timed else None,
         )
-
-    def _refresh_plan(self, island_index: int) -> None:
-        if self.reuse_buffers:
-            self._arenas[island_index] = StageArena(self.dtype)
-            self._scratch[island_index] = EvalArena(self.dtype)
-
-    # -- super-step path (temporal blocking) ----------------------------
-    def _prepare_super_state(self) -> None:
-        self._super_arenas: Dict[Tuple[int, int], StageArena] = {}
-        self._scratch = {}
-        if self.reuse_buffers:
-            for island in self.decomposition.islands:
-                self._scratch[island.index] = EvalArena(self.dtype)
-                for k in range(len(self._step_plans[island.index])):
-                    self._super_arenas[(island.index, k)] = StageArena(self.dtype)
-
-    def execute_island_super(self, island, inputs, out, steps) -> IslandResult:
-        plans = self._step_plans[island.index]
-        current: Mapping[str, ArrayRegion] = inputs
-        total = IslandResult()
-        results = None
-        for k in range(steps):
-            results, stats = execute_plan(
-                self.program,
-                plans[k],
-                current,
-                dtype=self.dtype,
-                arena=self._super_arenas.get((island.index, k)),
-                scratch=self._scratch.get(island.index),
-                collect_timing=self.timed,
-            )
-            total.stage_allocations += stats.allocations
-            total.scratch_allocations += stats.scratch_allocations
-            total.reused += stats.reused_buffers + stats.scratch_reused
-            if self.timed and stats.stage_seconds:
-                merged = dict(total.stage_seconds or {})
-                for name, seconds in stats.stage_seconds.items():
-                    merged[name] = merged.get(name, 0.0) + seconds
-                total.stage_seconds = merged
-            if k + 1 < steps:
-                current = self._chain_inputs(inputs, results[self.output_field])
-        out[island.part.slices()] = results[self.output_field].view(island.part)
-        return total
-
-    def _refresh_super(self, island_index: int) -> None:
-        if self.reuse_buffers:
-            self._scratch[island_index] = EvalArena(self.dtype)
-            for k in range(len(self._step_plans[island_index])):
-                self._super_arenas[(island_index, k)] = StageArena(self.dtype)
+        return result, results[self.output_field]
 
     # -- stage-granular path (exchange / hybrid) ------------------------
     def _prepare_stage_state(self) -> None:
@@ -627,28 +623,31 @@ class CompiledBackend(IslandBackend):
     def _compile(self, program: StencilProgram, plan, **kwargs):
         """Compile one halo plan — the single seam subclasses override.
 
-        The whole-step, super-step and stage-granular paths all route
-        through here, which is what lets :class:`NativeBackend` swap in
-        fused-C kernels while inheriting every orchestration mode.
+        The recompute and stage-granular paths both route through here,
+        which is what lets :class:`NativeBackend` swap in fused-C kernels
+        while inheriting every orchestration mode.
         """
         from ..stencil import compile_plan
 
         return compile_plan(program, plan, **kwargs)
 
-    def prepare(self) -> None:
+    def _prepare_step_state(self) -> None:
         self.plans = {
-            island.index: self._compile(
-                self.program,
-                island.halo_plan,
-                dtype=self.dtype,
-                reuse_buffers=self.reuse_buffers,
-                timed=self.timed,
+            island.index: tuple(
+                self._compile(
+                    self.program,
+                    plan,
+                    dtype=self.dtype,
+                    reuse_buffers=self.reuse_buffers,
+                    timed=self.timed,
+                )
+                for plan in self._step_plans[island.index]
             )
             for island in self.decomposition.islands
         }
 
-    def execute_island(self, island, inputs, out) -> IslandResult:
-        compiled = self.plans[island.index]
+    def _run_sub_step(self, island, k, inputs, out):
+        compiled = self.plans[island.index][k]
         workspace = compiled.workspace
         before = (
             (workspace.allocations, workspace.reuses)
@@ -662,63 +661,15 @@ class CompiledBackend(IslandBackend):
             stage_allocations=workspace.allocations - before[0],
             reused=workspace.reuses - before[1],
         )
-        out[island.part.slices()] = results[self.output_field].view(island.part)
         if self.timed:
             result.stage_seconds = stage_delta(
                 compiled.stage_seconds, stage_before
             )
-        return result
+        return result, results[self.output_field]
 
-    def _refresh_plan(self, island_index: int) -> None:
-        compiled = self.plans[island_index]
-        if compiled.persistent:
-            compiled.persistent = True  # installs a fresh Workspace
-
-    # -- super-step path (temporal blocking) ----------------------------
-    def _prepare_super_state(self) -> None:
-        self._super_plans: Dict[Tuple[int, int], object] = {}
-        for island in self.decomposition.islands:
-            for k, plan in enumerate(self._step_plans[island.index]):
-                self._super_plans[(island.index, k)] = self._compile(
-                    self.program,
-                    plan,
-                    dtype=self.dtype,
-                    reuse_buffers=self.reuse_buffers,
-                    timed=self.timed,
-                )
-
-    def execute_island_super(self, island, inputs, out, steps) -> IslandResult:
-        current: Mapping[str, ArrayRegion] = inputs
-        total = IslandResult()
-        results = None
-        for k in range(steps):
-            compiled = self._super_plans[(island.index, k)]
-            workspace = compiled.workspace
-            before = (
-                (workspace.allocations, workspace.reuses)
-                if workspace is not None
-                else (0, 0)
-            )
-            stage_before = compiled.stage_seconds if self.timed else None
-            results = compiled(current)
-            workspace = compiled.last_workspace
-            total.stage_allocations += workspace.allocations - before[0]
-            total.reused += workspace.reuses - before[1]
-            if self.timed:
-                delta = stage_delta(compiled.stage_seconds, stage_before)
-                if delta:
-                    merged = dict(total.stage_seconds or {})
-                    for name, seconds in delta.items():
-                        merged[name] = merged.get(name, 0.0) + seconds
-                    total.stage_seconds = merged
-            if k + 1 < steps:
-                current = self._chain_inputs(inputs, results[self.output_field])
-        out[island.part.slices()] = results[self.output_field].view(island.part)
-        return total
-
-    def _refresh_super(self, island_index: int) -> None:
-        for (q, _k), compiled in self._super_plans.items():
-            if q == island_index and compiled.persistent:
+    def _refresh_step_state(self, island_index: int) -> None:
+        for compiled in self.plans[island_index]:
+            if compiled.persistent:
                 compiled.persistent = True  # installs a fresh Workspace
 
     # -- stage-granular path (exchange / hybrid) ------------------------
@@ -826,29 +777,47 @@ class TiledBackend(IslandBackend):
             intra_threads=config.intra_threads,
         )
 
-    def prepare(self) -> None:
+    # Each sub-step gets its own TiledPlan over its composed plan's
+    # target.  The last sub-step targets the island's part and writes
+    # straight into the output; earlier (deeper) sub-steps write
+    # persistent intermediate region buffers, so their block grids simply
+    # grow — block_shape stays a per-block cache bound.
+    def _prepare_step_state(self) -> None:
         from ..stencil.tiled_exec import compile_plan_tiled
         from ..stencil.tiling import plan_blocks_exact
 
-        self.plans = {
-            island.index: compile_plan_tiled(
-                self.program,
-                island.halo_plan,
-                plan_blocks_exact(self.program, island.part, self.block_shape),
-                clip_domain=self.clip_domain,
-                dtype=self.dtype,
-                reuse_buffers=self.reuse_buffers,
-                intra_threads=self.intra_threads,
-                timed=self.timed,
+        self._sub_out: Dict[int, Tuple[ArrayRegion, ...]] = {}
+        for island in self.decomposition.islands:
+            step_plans = self._step_plans[island.index]
+            self.plans[island.index] = tuple(
+                compile_plan_tiled(
+                    self.program,
+                    plan,
+                    plan_blocks_exact(self.program, plan.target, self.block_shape),
+                    clip_domain=self.clip_domain,
+                    dtype=self.dtype,
+                    reuse_buffers=self.reuse_buffers,
+                    intra_threads=self.intra_threads,
+                    timed=self.timed,
+                )
+                for plan in step_plans
             )
-            for island in self.decomposition.islands
-        }
+            self._sub_out[island.index] = tuple(
+                ArrayRegion(np.empty(plan.target.shape, dtype=self.dtype), plan.target)
+                for plan in step_plans[:-1]
+            )
 
-    def execute_island(self, island, inputs, out) -> IslandResult:
-        tiled = self.plans[island.index]
+    def _run_sub_step(self, island, k, inputs, out):
+        plans = self.plans[island.index]
+        tiled = plans[k]
         before = tiled.counters()
         stage_before = tiled.stage_seconds if self.timed else None
-        tiled.execute(inputs, out)
+        produced = None
+        if k + 1 < len(plans):
+            produced = self._sub_out[island.index][k]
+            tiled.execute(inputs, produced.data, origin=produced.box.lo)
+        else:
+            tiled.execute(inputs, out)
         after = tiled.counters()
         result = IslandResult(
             stage_allocations=after[0] - before[0],
@@ -859,79 +828,16 @@ class TiledBackend(IslandBackend):
             result.stage_seconds = stage_delta(
                 tiled.stage_seconds, stage_before
             )
-        return result
+        return result, produced
 
-    def _refresh_plan(self, island_index: int) -> None:
-        self.plans[island_index].refresh_workspaces()
+    def _refresh_step_state(self, island_index: int) -> None:
+        for tiled in self.plans[island_index]:
+            tiled.refresh_workspaces()
 
     def close(self) -> None:
-        for plan in self.plans.values():
-            plan.close()
-        for plan in getattr(self, "_super_tiled", {}).values():
-            plan.close()
-
-    # -- super-step path (temporal blocking) ----------------------------
-    # Each sub-step gets its own TiledPlan over the composed plan's
-    # (deeper) target, writing into a persistent intermediate region
-    # buffer; the island's part is copied out of the last sub-step's
-    # buffer.  Intermediate targets exceed the island part, so the block
-    # grid simply grows — block_shape stays a per-block cache bound.
-    def _prepare_super_state(self) -> None:
-        from ..stencil.tiled_exec import compile_plan_tiled
-        from ..stencil.tiling import plan_blocks_exact
-
-        self._super_tiled: Dict[Tuple[int, int], object] = {}
-        self._super_out: Dict[Tuple[int, int], ArrayRegion] = {}
-        for island in self.decomposition.islands:
-            q = island.index
-            for k, plan in enumerate(self._step_plans[q]):
-                self._super_tiled[(q, k)] = compile_plan_tiled(
-                    self.program,
-                    plan,
-                    plan_blocks_exact(self.program, plan.target, self.block_shape),
-                    clip_domain=self.clip_domain,
-                    dtype=self.dtype,
-                    reuse_buffers=self.reuse_buffers,
-                    intra_threads=self.intra_threads,
-                    timed=self.timed,
-                )
-                self._super_out[(q, k)] = ArrayRegion(
-                    np.empty(plan.target.shape, dtype=self.dtype), plan.target
-                )
-
-    def execute_island_super(self, island, inputs, out, steps) -> IslandResult:
-        q = island.index
-        current: Mapping[str, ArrayRegion] = inputs
-        total = IslandResult()
-        produced = None
-        for k in range(steps):
-            tiled = self._super_tiled[(q, k)]
-            produced = self._super_out[(q, k)]
-            before = tiled.counters()
-            stage_before = tiled.stage_seconds if self.timed else None
-            tiled.execute(current, produced.data, origin=produced.box.lo)
-            after = tiled.counters()
-            total.stage_allocations += after[0] - before[0]
-            total.reused += after[1] - before[1]
-            if self.timed:
-                total.block_seconds = total.block_seconds + tuple(
-                    tiled.last_block_seconds or ()
-                )
-                delta = stage_delta(tiled.stage_seconds, stage_before)
-                if delta:
-                    merged = dict(total.stage_seconds or {})
-                    for name, seconds in delta.items():
-                        merged[name] = merged.get(name, 0.0) + seconds
-                    total.stage_seconds = merged
-            if k + 1 < steps:
-                current = self._chain_inputs(inputs, produced)
-        out[island.part.slices()] = produced.view(island.part)
-        return total
-
-    def _refresh_super(self, island_index: int) -> None:
-        for (q, _k), tiled in self._super_tiled.items():
-            if q == island_index:
-                tiled.refresh_workspaces()
+        for plans in self.plans.values():
+            for plan in plans:
+                plan.close()
 
     # -- stage-granular path (exchange / hybrid) ------------------------
     # Each stage's owned slab is covered by cache-sized blocks, each with
@@ -1034,15 +940,14 @@ def create_backend(
     *,
     clip_domain: Box,
     output_field: str,
-    ledger: Optional[HaloLedger] = None,
+    ledger: HaloLedger,
 ) -> IslandBackend:
     """Instantiate and prepare the backend ``config.backend`` names.
 
-    With a non-recompute ``ledger`` the backend is prepared for
-    stage-granular execution (:meth:`IslandBackend.prepare_exchange`)
-    instead of whole-step island sweeps; a recompute ledger carrying
-    ``sync_every > 1`` selects the temporal-blocked super-step path
-    (:meth:`IslandBackend.prepare_super`).
+    A ``recompute`` ledger prepares the island super-steps of depth
+    ``ledger.sync_every`` (:meth:`IslandBackend.prepare`); an
+    ``exchange`` or ``hybrid`` ledger prepares stage-granular execution
+    (:meth:`IslandBackend.prepare_exchange`).
     """
     try:
         backend_cls = BACKENDS[config.backend]
@@ -1058,10 +963,8 @@ def create_backend(
         clip_domain=clip_domain,
         output_field=output_field,
     )
-    if ledger is not None and ledger.policy != "recompute":
+    if ledger.policy != "recompute":
         backend.prepare_exchange(ledger)
-    elif ledger is not None and ledger.sync_every > 1:
-        backend.prepare_super(ledger.step_plans, ledger.recurrent)
     else:
-        backend.prepare()
+        backend.prepare(ledger.step_plans, ledger.recurrent)
     return backend

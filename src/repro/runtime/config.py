@@ -13,14 +13,13 @@ value describing *how* to execute — the problem itself (program, shape,
 islands, variant, partition) stays a constructor argument, because a
 config that names a grid is a job, not a configuration.
 
-The old keyword arguments remain accepted for one release through
-:func:`resolve_engine_config`, which converts them to an
-:class:`EngineConfig` and emits a :class:`DeprecationWarning`.
+The runner and solver take the engine as ``config=EngineConfig(...)``
+only; an engine keyword passed to their constructors (``threads=4``) is
+a :class:`TypeError`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -32,10 +31,8 @@ from .faults import FaultInjector, parse_fault_spec
 
 __all__ = [
     "BACKEND_KEYS",
-    "LEGACY_ENGINE_KWARGS",
     "PROCS_INNER_KEYS",
     "EngineConfig",
-    "resolve_engine_config",
 ]
 
 #: Registry keys of the execution backends (see :mod:`repro.runtime.backends`).
@@ -43,21 +40,6 @@ BACKEND_KEYS = ("interpreter", "compiled", "tiled", "procs", "native")
 
 #: Stage executors a ``procs`` worker may run inside itself.
 PROCS_INNER_KEYS = ("interpreter", "compiled", "native")
-
-#: Constructor keywords the one-release deprecation shim still accepts.
-LEGACY_ENGINE_KWARGS = (
-    "boundary",
-    "threads",
-    "dtype",
-    "compiled",
-    "reuse_buffers",
-    "reuse_output",
-    "max_retries",
-    "retry_backoff",
-    "block_shape",
-    "intra_threads",
-    "collect_timings",
-)
 
 
 @dataclass(frozen=True)
@@ -472,68 +454,3 @@ class EngineConfig:
             halo_threshold=getattr(args, "halo_threshold", None),
             sync_every=getattr(args, "sync_every", 1) or 1,
         )
-
-    @classmethod
-    def from_legacy_kwargs(cls, **kwargs: Any) -> "EngineConfig":
-        """Convert the pre-config constructor keywords.
-
-        ``block_shape`` selects the tiled backend and takes precedence
-        over ``compiled=True``, exactly as the old constructor resolved
-        the same combination.
-        """
-        unknown = set(kwargs) - set(LEGACY_ENGINE_KWARGS)
-        if unknown:
-            raise TypeError(
-                f"unexpected keyword argument(s): {', '.join(sorted(unknown))}"
-            )
-        compiled = bool(kwargs.pop("compiled", False))
-        block_shape = kwargs.pop("block_shape", None)
-        if block_shape is not None:
-            backend = "tiled"
-            block_shape = tuple(block_shape)
-        elif compiled:
-            backend = "compiled"
-        else:
-            backend = "interpreter"
-        return cls(backend=backend, block_shape=block_shape, **kwargs)
-
-
-def resolve_engine_config(
-    config: Optional[EngineConfig],
-    legacy: Mapping[str, Any],
-    owner: str,
-) -> EngineConfig:
-    """The constructor-side half of the deprecation shim.
-
-    Exactly one source may describe the engine: ``config=`` or the old
-    keyword arguments (which warn and are converted).  Mixing them is an
-    error rather than a merge — a silent precedence rule is how configs
-    drift apart.
-    """
-    if config is not None:
-        if legacy:
-            raise TypeError(
-                f"{owner}: pass either config= or legacy engine keywords, "
-                f"not both (got {sorted(legacy)})"
-            )
-        if not isinstance(config, EngineConfig):
-            raise TypeError(
-                f"{owner}: config must be an EngineConfig, got "
-                f"{type(config).__name__}"
-            )
-        return config
-    if not legacy:
-        return EngineConfig()
-    unknown = set(legacy) - set(LEGACY_ENGINE_KWARGS)
-    if unknown:
-        raise TypeError(
-            f"{owner} got unexpected keyword argument(s): "
-            f"{', '.join(sorted(unknown))}"
-        )
-    warnings.warn(
-        f"{owner}: engine keyword arguments {sorted(legacy)} are "
-        "deprecated; pass config=EngineConfig(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return EngineConfig.from_legacy_kwargs(**legacy)

@@ -13,7 +13,11 @@ The runner is a thin composition of four explicit layers:
 * a **backend** (:mod:`repro.runtime.backends`) owning the per-island
   compute resources — interpreter arenas, compiled workspaces, or tiled
   block plans — behind one ``prepare``/``execute_island``/``refresh``
-  lifecycle;
+  lifecycle.  Under the ``recompute`` halo policy every call is one
+  super-step: ``sync_every`` chained sub-steps per island between two
+  syncs, the paper's one-sync-per-step run being the depth-1 case.
+  Under ``exchange``/``hybrid`` the backend runs one stage at a time
+  and the runner copies halos between stages;
 * a **resilience** layer (:mod:`repro.runtime.resilience`) wrapping every
   island sweep with fault injection, bounded retry and backoff;
 * a **telemetry** spine (:mod:`repro.runtime.telemetry`) that can record
@@ -52,13 +56,8 @@ from ..mpdata.reference import MpdataState
 from ..mpdata.solver import GhostSpec
 from ..mpdata.stages import FIELD_DENSITY, FIELD_X, mpdata_program
 from ..stencil import ArrayRegion, Box, StencilProgram, full_box
-from .backends import (
-    CompiledBackend,
-    IslandResult,
-    TiledBackend,
-    create_backend,
-)
-from .config import EngineConfig, resolve_engine_config
+from .backends import IslandResult, create_backend
+from .config import EngineConfig
 from .faults import FaultInjector, FaultStats
 from .resilience import IslandFailure, ResiliencePolicy, ResilientExecutor
 from .telemetry import StepEvent, StepStats, StepTimings, Telemetry
@@ -69,21 +68,6 @@ __all__ = [
     "MpdataIslandSolver",
     "StepStats",
 ]
-
-
-def _merge_result(into: IslandResult, add: IslandResult) -> IslandResult:
-    """Accumulate one island's per-stage results into its step total."""
-    into.stage_allocations += add.stage_allocations
-    into.scratch_allocations += add.scratch_allocations
-    into.reused += add.reused
-    into.seconds += add.seconds
-    into.block_seconds = tuple(into.block_seconds) + tuple(add.block_seconds)
-    if add.stage_seconds:
-        merged = dict(into.stage_seconds or {})
-        for name, seconds in add.stage_seconds.items():
-            merged[name] = merged.get(name, 0.0) + seconds
-        into.stage_seconds = merged
-    return into
 
 
 class PartitionedRunner:
@@ -113,14 +97,6 @@ class PartitionedRunner:
         successful step is recorded into its sinks as a
         :class:`~repro.runtime.telemetry.StepEvent`.  Without sinks the
         runner pays nothing beyond filling :attr:`last_step_stats`.
-    **legacy:
-        The pre-config keyword arguments (``boundary``, ``threads``,
-        ``dtype``, ``compiled``, ``reuse_buffers``, ``reuse_output``,
-        ``max_retries``, ``retry_backoff``, ``block_shape``,
-        ``intra_threads``, ``collect_timings``) are still accepted for
-        one release; they convert to an :class:`EngineConfig` and emit a
-        :class:`DeprecationWarning`.  Mixing them with ``config=`` is an
-        error.
     """
 
     def __init__(
@@ -134,30 +110,25 @@ class PartitionedRunner:
         *,
         fault_injector: Optional[FaultInjector] = None,
         telemetry: Optional[Telemetry] = None,
-        **legacy: object,
     ) -> None:
         outputs = program.output_fields
         if len(outputs) != 1:
             raise ValueError("PartitionedRunner requires a single-output program")
-        config = resolve_engine_config(config, legacy, "PartitionedRunner")
+        if config is None:
+            config = EngineConfig()
+        elif not isinstance(config, EngineConfig):
+            raise TypeError(
+                "PartitionedRunner: config must be an EngineConfig, got "
+                f"{type(config).__name__}"
+            )
         self.config = config
         self.program = program
         self.shape = tuple(shape)
         self.output_field = outputs[0].name
-        # Mirrors of the config, kept as plain attributes for the
-        # pre-refactor surface (callers and tests read these directly).
-        self.boundary = config.boundary
+        # The config fields the step loop and its callers read most.
         self.threads = config.threads
         self.dtype = config.numpy_dtype
-        self.reuse_buffers = config.reuse_buffers
-        self.reuse_output = config.reuse_output
-        self.max_retries = config.max_retries
-        self.retry_backoff = config.retry_backoff
-        self.block_shape = config.block_shape
-        self.intra_threads = config.intra_threads
-        self.collect_timings = config.collect_timings
         self.halo = config.halo
-        self.halo_threshold = config.halo_threshold
         self.sync_every = config.sync_every
         self.fault_injector = (
             fault_injector
@@ -175,7 +146,7 @@ class PartitionedRunner:
         self.ghosts = GhostSpec.for_program(
             program, self.shape, sync_every=self.sync_every
         )
-        if self.boundary == "periodic":
+        if config.boundary == "periodic":
             for axis in range(3):
                 margin = max(self.ghosts.lo[axis], self.ghosts.hi[axis])
                 if margin > self.shape[axis]:
@@ -242,22 +213,6 @@ class PartitionedRunner:
         self.total_syncs = 0
 
     # ------------------------------------------------------------------
-    # Pre-refactor surface: the per-island plan dicts of the compiled and
-    # tiled paths, now owned by the backend.
-    # ------------------------------------------------------------------
-    @property
-    def _tiled(self) -> Optional[Dict[int, object]]:
-        if isinstance(self.backend, TiledBackend):
-            return self.backend.plans
-        return None
-
-    @property
-    def _compiled(self) -> Optional[Dict[int, object]]:
-        if isinstance(self.backend, CompiledBackend):
-            return self.backend.plans
-        return None
-
-    # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -316,9 +271,9 @@ class PartitionedRunner:
                     f"input {field.name!r} has shape {arr.shape}, expected "
                     f"{self.shape}"
                 )
-            if not self.reuse_buffers:
+            if not self.config.reuse_buffers:
                 extended[field.name] = extend_array(
-                    arr, self.ghosts.lo, self.ghosts.hi, self.boundary
+                    arr, self.ghosts.lo, self.ghosts.hi, self.config.boundary
                 )
                 ghost_allocations += 1
                 continue
@@ -329,18 +284,19 @@ class PartitionedRunner:
                 region = self.backend.allocate_ghost(field.name)
                 if region is None:
                     region = extend_array(
-                        arr, self.ghosts.lo, self.ghosts.hi, self.boundary
+                        arr, self.ghosts.lo, self.ghosts.hi, self.config.boundary
                     )
                 else:
                     extend_array_into(
                         arr, region, self.ghosts.lo, self.ghosts.hi,
-                        self.boundary,
+                        self.config.boundary,
                     )
                 self._ghost[field.name] = region
                 ghost_allocations += 1
             elif changed is None or field.name in changed:
                 extend_array_into(
-                    arr, region, self.ghosts.lo, self.ghosts.hi, self.boundary
+                    arr, region, self.ghosts.lo, self.ghosts.hi,
+                    self.config.boundary,
                 )
                 ghost_reused += 1
             else:
@@ -350,7 +306,7 @@ class PartitionedRunner:
         return extended
 
     def _output_array(self) -> Tuple[np.ndarray, int]:
-        if not self.reuse_output:
+        if not self.config.reuse_output:
             return np.empty(self.shape, dtype=self.dtype), 1
         if self._out is None:
             self._out = self.backend.allocate_output()
@@ -384,7 +340,7 @@ class PartitionedRunner:
         ``last_step_stats`` is reset for the same reason.
         """
         self.last_step_stats = None
-        if self.reuse_output and self._out is not None:
+        if self.config.reuse_output and self._out is not None:
             self._out = None
             out.fill(np.nan)
 
@@ -488,7 +444,7 @@ class PartitionedRunner:
                 )
                 merged = island_results[position]
                 island_results[position] = (
-                    result if merged is None else _merge_result(merged, result)
+                    result if merged is None else merged.merge(result)
                 )
 
             errors.extend(self._fan_out(len(islands), run_stage))
@@ -607,32 +563,28 @@ class PartitionedRunner:
             raise errors[0]
 
         results = [result or IslandResult() for result in island_results]
-        stage_allocations = sum(r.stage_allocations for r in results)
-        scratch_allocations = sum(r.scratch_allocations for r in results)
-        reused = ghost_reused + sum(r.reused for r in results)
+        total = IslandResult()
+        for result in results:
+            total.merge(result)
         timings: Optional[StepTimings] = None
-        if self.collect_timings:
-            merged: Dict[str, float] = {}
-            for result in results:
-                for name, seconds in (result.stage_seconds or {}).items():
-                    merged[name] = merged.get(name, 0.0) + seconds
+        if self.config.collect_timings:
             timings = StepTimings(
                 island_seconds=tuple(r.seconds for r in results),
                 block_seconds=tuple(r.block_seconds for r in results),
-                stage_seconds=merged,
+                stage_seconds=total.stage_seconds or {},
             )
         self.last_step_stats = StepStats(
             allocations=(
                 ghost_allocations
                 + output_allocations
-                + stage_allocations
-                + scratch_allocations
+                + total.stage_allocations
+                + total.scratch_allocations
             ),
-            reused=reused,
+            reused=ghost_reused + total.reused,
             ghost_allocations=ghost_allocations,
             output_allocations=output_allocations,
-            stage_allocations=stage_allocations,
-            scratch_allocations=scratch_allocations,
+            stage_allocations=total.stage_allocations,
+            scratch_allocations=total.scratch_allocations,
             exchanged_bytes=exchanged_bytes,
             stage_syncs=stage_syncs,
             redundant_points=self.halo_ledger.redundant_points,
@@ -660,14 +612,14 @@ class MpdataIslandSolver:
     """MPDATA driver over a :class:`PartitionedRunner` (islands approach).
 
     Mirrors :class:`repro.mpdata.solver.MpdataSolver` but executes each step
-    as P independent islands; with ``threads=P`` the islands really do run
-    concurrently.  Output is bit-identical to the whole-domain solver.
+    as P independent islands; with ``config=EngineConfig(threads=P)`` the
+    islands really do run concurrently.  Output is bit-identical to the
+    whole-domain solver.
 
     The solver is a context manager (closing releases the runner's thread
     pool).  The engine — backend, buffer reuse, resilience policy, timing
     collection — is selected by one :class:`~repro.runtime.config
-    .EngineConfig`; the old keyword arguments remain accepted for one
-    release via the same deprecation shim as the runner.  Checkpointed
+    .EngineConfig` (default ``EngineConfig()``).  Checkpointed
     rollback-and-replay is enabled per run via :meth:`run`'s ``recovery``
     policy.
     """
@@ -683,10 +635,7 @@ class MpdataIslandSolver:
         program: Optional[StencilProgram] = None,
         fault_injector: Optional[FaultInjector] = None,
         telemetry: Optional[Telemetry] = None,
-        **legacy: object,
     ) -> None:
-        config = resolve_engine_config(config, legacy, "MpdataIslandSolver")
-        self.config = config
         self.runner = PartitionedRunner(
             program if program is not None else mpdata_program(),
             shape,
@@ -697,6 +646,7 @@ class MpdataIslandSolver:
             fault_injector=fault_injector,
             telemetry=telemetry,
         )
+        self.config = self.runner.config
         self.last_recovery_report = None
 
     @property

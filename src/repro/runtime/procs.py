@@ -26,10 +26,12 @@ in its own address space, the first-touch-style per-island initialization
 of Wittmann/Hager (arXiv 0912.4506).  The step protocol is the paper's
 one-barrier-per-step: the parent issues one command per island, the
 pipe joins are the barrier, and under exchange mode the same join runs
-once per stage.  Temporal blocking (``sync_every = s``) amortizes that
-barrier: one ``super`` command advances ``s`` chained sub-steps inside
-the worker, so the parent pays one dispatch and one pipe-join per
-super-step — ``s``\\ × fewer synchronizations for the same trajectory.
+once per stage (one ``stage`` command per island).  Under recompute the
+command is ``super``: it advances a super-step of chained sub-steps
+inside the worker — one for a plain step, ``s`` under temporal blocking
+(``sync_every = s``), so the parent pays one dispatch and one pipe-join
+per super-step — ``s``\\ × fewer synchronizations for the same
+trajectory.
 The interpreter/compiled stage executors run inside the workers
 unchanged, so every trajectory is bit-identical to the single-process
 backends.
@@ -247,7 +249,7 @@ class DeadlineClock:
     The EWMA therefore tracks **per-step** durations — :meth:`observe`
     normalizes by the command's ``steps``, :meth:`current` scales the
     adapted (or explicit) deadline back up by the next command's
-    ``steps`` — so one clock serves mixed step/super traffic and a
+    ``steps`` — so one clock serves super-steps of any depth and a
     retuned ``sync_every`` never inherits a stale absolute deadline.
     The warm-up grace is deliberately **not** scaled: it is already
     sized for one-off cost (fork + state rebuild), and multiplying it
@@ -498,7 +500,10 @@ class ProcsBackend(IslandBackend):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def prepare(self) -> None:
+    def _prepare_step_state(self) -> None:
+        # Called by the base prepare() *after* the composed step plans
+        # are stored on self, so the forked workers inherit them and
+        # build their own per-sub-step compute state locally.
         self._allocate_shared_io()
         self._spawn_all()
 
@@ -508,12 +513,29 @@ class ProcsBackend(IslandBackend):
         self._allocate_shared_io()
         self._spawn_all()
 
-    def _prepare_super_state(self) -> None:
-        # Called by the base prepare_super() *after* the composed step
-        # plans are stored on self, so the forked workers inherit them
-        # and build their own per-sub-step compute state locally.
-        self._allocate_shared_io()
-        self._spawn_all()
+    def _build_inner(self, decomposition: IslandDecomposition) -> IslandBackend:
+        """An in-process inner backend over ``decomposition``'s islands.
+
+        Workers build one for their own islands, and the parent one for
+        all islands in serial fallback.  Either way it binds the shared
+        buffers: in exchange mode it *adopts* the shared stage buffers,
+        otherwise it builds per-sub-step compute state from the composed
+        step plans in its own address space.
+        """
+        inner = BACKENDS[self.inner](
+            self.program,
+            decomposition,
+            clip_domain=self.clip_domain,
+            output_field=self.output_field,
+            dtype=self.dtype,
+            reuse_buffers=True,
+            timed=self.timed,
+        )
+        if self._ledger is not None:
+            inner.adopt_exchange_state(self._ledger, self._stage_buffers)
+        else:
+            inner.prepare(self._step_plans, self._recurrent)
+        return inner
 
     def _spawn_all(self) -> None:
         island_ids = [island.index for island in self.decomposition.islands]
@@ -719,27 +741,9 @@ class ProcsBackend(IslandBackend):
         halo-copy loop and trajectory stay bit-identical.
         """
         with self._serial_lock:
-            inner = self._parent_inner
-            if inner is None:
-                inner = BACKENDS[self.inner](
-                    self.program,
-                    self.decomposition,
-                    clip_domain=self.clip_domain,
-                    output_field=self.output_field,
-                    dtype=self.dtype,
-                    reuse_buffers=True,
-                    timed=self.timed,
-                )
-                if self._ledger is not None:
-                    inner.adopt_exchange_state(
-                        self._ledger, self._stage_buffers
-                    )
-                elif self._step_plans is not None:
-                    inner.prepare_super(self._step_plans, self._recurrent)
-                else:
-                    inner.prepare()
-                self._parent_inner = inner
-        return inner
+            if self._parent_inner is None:
+                self._parent_inner = self._build_inner(self.decomposition)
+            return self._parent_inner
 
     def health_events(self) -> Tuple[int, int]:
         """Drain ``(quarantines, islands_remapped)`` since the last call."""
@@ -908,49 +912,37 @@ class ProcsBackend(IslandBackend):
             )
         return reply[1]
 
-    def execute_island(self, island, inputs, out) -> IslandResult:
-        self._sync_inputs(inputs)
-        if self._serial:
-            self._take_kill(island.index)  # stale arms are void in serial
-            self._take_hang(island.index)
-            inner = self._ensure_parent_inner()
-            return inner.execute_island(island, inputs, out)
-        result = self._dispatch(
-            island.index,
-            (
-                "step",
-                island.index,
-                self._take_kill(island.index),
-                self._take_hang(island.index),
-            ),
-        )
-        if out is not self._output:  # direct caller with a foreign buffer
-            out[island.part.slices()] = self._output[island.part.slices()]
-        return result
+    def _serial_inner(self, island_index: int) -> IslandBackend:
+        """The parent's inner backend, for one island in serial fallback."""
+        self._take_kill(island_index)  # stale arms are void in serial
+        self._take_hang(island_index)
+        return self._ensure_parent_inner()
 
-    def execute_island_super(self, island, inputs, out, steps) -> IslandResult:
+    def _command(self, op: str, island_index: int, arg: int) -> tuple:
+        """One worker command, carrying the island's armed kill/hang."""
+        return (
+            op,
+            island_index,
+            arg,
+            self._take_kill(island_index),
+            self._take_hang(island_index),
+        )
+
+    def execute_island(self, island, inputs, out, steps) -> IslandResult:
         """One RPC, one pipe-join barrier, ``steps`` time steps.
 
-        The whole point of temporal blocking on this backend: the worker
-        chains ``steps`` composed sub-steps island-locally and replies
-        once, so the parent pays one dispatch and one barrier per
-        super-step instead of per step.
+        The worker chains ``steps`` composed sub-steps island-locally and
+        replies once, so under temporal blocking the parent pays one
+        dispatch and one barrier per super-step instead of per step.
         """
         self._sync_inputs(inputs)
         if self._serial:
-            self._take_kill(island.index)  # stale arms are void in serial
-            self._take_hang(island.index)
-            inner = self._ensure_parent_inner()
-            return inner.execute_island_super(island, inputs, out, steps)
+            return self._serial_inner(island.index).execute_island(
+                island, inputs, out, steps
+            )
         result = self._dispatch(
             island.index,
-            (
-                "super",
-                island.index,
-                steps,
-                self._take_kill(island.index),
-                self._take_hang(island.index),
-            ),
+            self._command("super", island.index, steps),
             steps=steps,
         )
         if out is not self._output:  # direct caller with a foreign buffer
@@ -960,19 +952,11 @@ class ProcsBackend(IslandBackend):
     def _execute_stage(self, island, stage_index, inputs) -> IslandResult:
         self._sync_inputs(inputs)
         if self._serial:
-            self._take_kill(island.index)
-            self._take_hang(island.index)
-            inner = self._ensure_parent_inner()
-            return inner._execute_stage(island, stage_index, inputs)
+            return self._serial_inner(island.index)._execute_stage(
+                island, stage_index, inputs
+            )
         return self._dispatch(
-            island.index,
-            (
-                "stage",
-                island.index,
-                stage_index,
-                self._take_kill(island.index),
-                self._take_hang(island.index),
-            ),
+            island.index, self._command("stage", island.index, stage_index)
         )
 
     # ------------------------------------------------------------------
@@ -1002,32 +986,16 @@ class ProcsBackend(IslandBackend):
         by_index = {
             island.index: island for island in self.decomposition.islands
         }
-        inner_cls = BACKENDS[self.inner]
 
-        def build_inner(island_ids: Tuple[int, ...]):
-            built = inner_cls(
-                self.program,
+        def build_inner(island_ids: Tuple[int, ...]) -> IslandBackend:
+            # First-touch-style: this worker builds its own islands'
+            # compute state in its own address space.
+            return self._build_inner(
                 replace(
                     self.decomposition,
                     islands=tuple(by_index[q] for q in island_ids),
-                ),
-                clip_domain=self.clip_domain,
-                output_field=self.output_field,
-                dtype=self.dtype,
-                reuse_buffers=True,
-                timed=self.timed,
+                )
             )
-            if self._ledger is not None:
-                # First-touch-style: this worker binds its own compute
-                # state to the shared stage buffers inherited at fork.
-                built.adopt_exchange_state(self._ledger, self._stage_buffers)
-            elif self._step_plans is not None:
-                # Temporal blocking: per-sub-step compute state, built in
-                # this worker's own address space from the inherited plans.
-                built.prepare_super(self._step_plans, self._recurrent)
-            else:
-                built.prepare()
-            return built
 
         mine = list(islands)
         inner = build_inner(tuple(mine))
@@ -1049,45 +1017,24 @@ class ProcsBackend(IslandBackend):
                     mine.append(q)
                     inner = build_inner(tuple(mine))
                 conn.send(("ok", None))
-            elif op == "step":
-                _, q, die, wedge = command
+            elif op in ("super", "stage"):
+                # ("super", island, steps, ...) or ("stage", island,
+                # stage_index, ...), then the armed kill / hang.
+                _, q, arg, die, wedge = command
                 if die:
                     os.kill(os.getpid(), signal.SIGKILL)
                 if wedge:
                     while True:  # hung, not dead: the pipe stays open
                         time.sleep(3600.0)
                 try:
-                    result = inner.execute_island(by_index[q], inputs, out)
-                except Exception as error:
-                    conn.send(("err", f"{type(error).__name__}: {error}"))
-                else:
-                    conn.send(("ok", result))
-            elif op == "super":
-                _, q, steps, die, wedge = command
-                if die:
-                    os.kill(os.getpid(), signal.SIGKILL)
-                if wedge:
-                    while True:  # hung, not dead: the pipe stays open
-                        time.sleep(3600.0)
-                try:
-                    result = inner.execute_island_super(
-                        by_index[q], inputs, out, steps
-                    )
-                except Exception as error:
-                    conn.send(("err", f"{type(error).__name__}: {error}"))
-                else:
-                    conn.send(("ok", result))
-            elif op == "stage":
-                _, q, stage_index, die, wedge = command
-                if die:
-                    os.kill(os.getpid(), signal.SIGKILL)
-                if wedge:
-                    while True:
-                        time.sleep(3600.0)
-                try:
-                    result = inner.execute_island_stage(
-                        by_index[q], stage_index, inputs
-                    )
+                    if op == "super":
+                        result = inner.execute_island(
+                            by_index[q], inputs, out, arg
+                        )
+                    else:
+                        result = inner.execute_island_stage(
+                            by_index[q], arg, inputs
+                        )
                 except Exception as error:
                     conn.send(("err", f"{type(error).__name__}: {error}"))
                 else:

@@ -135,19 +135,19 @@ class ResilientExecutor:
         self.policy = policy
         self.injector = injector
 
-    def _attempt(
+    def _fire_pre_faults(
         self,
         island,
         step_index: int,
         attempt: int,
-        inputs: Mapping[str, object],
-        out: np.ndarray,
         fault_stats: Callable[[], FaultStats],
-        steps: int = 1,
-    ) -> IslandResult:
-        # Faults are keyed at the super-step's *base* step index: the
-        # super-step is the retry/replay unit, so a fault scheduled for any
-        # interior sub-step fires when the covering super-step executes.
+    ) -> tuple:
+        """Fire this site's faults; apply the ones that act before a sweep.
+
+        Faults are keyed at the super-step's *base* step index: the
+        super-step is the retry/replay unit, so a fault scheduled for any
+        interior sub-step fires when the covering super-step executes.
+        """
         fired = (
             self.injector.fire(step_index, island.index)
             if self.injector is not None
@@ -159,16 +159,21 @@ class ResilientExecutor:
                 kill=self.backend.inject_kill,
                 hang=self.backend.inject_hang,
             )
+        return fired
+
+    def _attempt(
+        self,
+        island,
+        step_index: int,
+        attempt: int,
+        inputs: Mapping[str, object],
+        out: np.ndarray,
+        fault_stats: Callable[[], FaultStats],
+        steps: int,
+    ) -> IslandResult:
+        fired = self._fire_pre_faults(island, step_index, attempt, fault_stats)
         begin = time.perf_counter() if self.backend.timed else 0.0
-        if steps == 1 and not self.backend.temporal:
-            result = self.backend.execute_island(island, inputs, out)
-        else:
-            # A temporally-blocked backend only has per-sub-step state,
-            # so even a remainder advance of one step goes through the
-            # super path (running the deepest composed plan alone).
-            result = self.backend.execute_island_super(
-                island, inputs, out, steps
-            )
+        result = self.backend.execute_island(island, inputs, out, steps)
         if self.backend.timed:
             result.seconds = time.perf_counter() - begin
         if fired:
@@ -184,17 +189,7 @@ class ResilientExecutor:
         inputs: Mapping[str, object],
         fault_stats: Callable[[], FaultStats],
     ) -> IslandResult:
-        fired = (
-            self.injector.fire(step_index, island.index)
-            if self.injector is not None
-            else ()
-        )
-        if fired:
-            apply_pre_faults(
-                fired, fault_stats(), island.index, step_index, attempt,
-                kill=self.backend.inject_kill,
-                hang=self.backend.inject_hang,
-            )
+        fired = self._fire_pre_faults(island, step_index, attempt, fault_stats)
         begin = time.perf_counter() if self.backend.timed else 0.0
         result = self.backend.execute_island_stage(island, stage_index, inputs)
         if self.backend.timed:
@@ -260,12 +255,12 @@ class ResilientExecutor:
         fault_stats: Callable[[], FaultStats],
         steps: int = 1,
     ) -> IslandResult:
-        """One island's whole (super-)step, retried in place.
+        """One island's super-step of ``steps`` time steps, retried in place.
 
-        ``steps > 1`` runs a temporal-blocking super-step: the backend
-        advances the island ``steps`` sub-steps locally between syncs,
-        and a retry replays the entire super-step — its inputs are the
-        sync-point snapshot, so the replay is bit-identical.
+        The backend advances the island ``steps`` sub-steps locally
+        between syncs (``steps = 1`` is a plain whole step), and a retry
+        replays the entire super-step — its inputs are the sync-point
+        snapshot, so the replay is bit-identical.
         """
         return self._with_retries(
             island,

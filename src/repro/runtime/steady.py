@@ -456,7 +456,8 @@ def measure_tiled_engine(
             numbers["blocks"] = float(
                 sum(
                     plan.block_count
-                    for plan in solver.runner.backend.plans.values()
+                    for plans in solver.runner.backend.plans.values()
+                    for plan in plans
                 )
                 if blocks is not None
                 else 0

@@ -1,13 +1,12 @@
 """Tests for the engine configuration layer and the telemetry spine.
 
 Covers the frozen :class:`EngineConfig` (validation, JSON round-trip,
-CLI derivation, legacy-kwarg shim), the backend registry (every backend
+CLI derivation, removed engine keywords), the backend registry (every backend
 selectable by key, all bit-identical), and the pluggable telemetry
 sinks.
 """
 
 import json
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +14,7 @@ import pytest
 
 from repro.cli import build_parser
 from repro.mpdata import random_state
-from repro.mpdata.stages import FIELD_X
+from repro.mpdata.stages import FIELD_X, mpdata_program
 from repro.runtime import (
     BACKEND_KEYS,
     BACKENDS,
@@ -23,6 +22,7 @@ from repro.runtime import (
     InMemorySink,
     JsonlSink,
     MpdataIslandSolver,
+    PartitionedRunner,
     StepEvent,
     TableSink,
     Telemetry,
@@ -137,31 +137,22 @@ class TestEngineConfigRoundTrip:
         assert config.build_fault_injector() is not None
 
 
-class TestLegacyKwargShim:
-    def test_legacy_kwargs_warn_and_match_config(self):
-        state = random_state(SHAPE, seed=7)
-        with pytest.warns(DeprecationWarning, match="config=EngineConfig"):
-            with MpdataIslandSolver(
-                SHAPE, 2, compiled=True, reuse_output=True
-            ) as solver:
-                legacy = np.array(solver.run(state, 5), copy=True)
-        config = EngineConfig(backend="compiled", reuse_output=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            modern = _trajectory(config, steps=5)
-        assert np.array_equal(legacy, modern)
+class TestRemovedEngineKeywords:
+    """The engine is configured by ``config=EngineConfig(...)`` only."""
 
-    def test_block_shape_kwarg_selects_tiled_over_compiled(self):
-        config = EngineConfig.from_legacy_kwargs(
-            compiled=True, block_shape=(8, 6, 8)
-        )
-        assert config.backend == "tiled"
-        assert config.block_shape == (8, 6, 8)
+    @pytest.mark.parametrize("keyword", ["threads", "compiled", "block_shape"])
+    def test_solver_rejects_engine_keyword(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            MpdataIslandSolver(SHAPE, 2, **{keyword: 4})
 
-    def test_mixing_config_and_legacy_kwargs_is_an_error(self):
-        with pytest.raises(TypeError, match="config"):
-            MpdataIslandSolver(
-                SHAPE, 2, config=EngineConfig(), compiled=True
+    def test_runner_rejects_engine_keyword(self):
+        with pytest.raises(TypeError, match="threads"):
+            PartitionedRunner(mpdata_program(), SHAPE, islands=2, threads=4)
+
+    def test_config_must_be_an_engine_config(self):
+        with pytest.raises(TypeError, match="EngineConfig"):
+            PartitionedRunner(
+                mpdata_program(), SHAPE, islands=2, config={"threads": 4}
             )
 
     def test_unknown_kwarg_is_an_error(self):

@@ -11,6 +11,7 @@ import pytest
 
 from repro.mpdata import MpdataSolver, mpdata_program, random_state
 from repro.runtime import (
+    EngineConfig,
     FaultInjector,
     FaultSpec,
     FaultStats,
@@ -129,8 +130,12 @@ class TestPerIslandRetry:
         expected = MpdataSolver(SHAPE, compiled=compiled).run(state, 3)
         injector = FaultInjector([FaultSpec("crash", island=1, step=1)])
         with MpdataIslandSolver(
-            SHAPE, 3, compiled=compiled, reuse_output=True,
-            max_retries=2, fault_injector=injector,
+            SHAPE, 3,
+            config=EngineConfig(
+                backend="compiled" if compiled else "interpreter",
+                reuse_output=True, max_retries=2,
+            ),
+            fault_injector=injector,
         ) as solver:
             actual = solver.run(state, 3)
             stats = solver.runner.fault_stats
@@ -147,8 +152,9 @@ class TestPerIslandRetry:
             FaultSpec("crash", island=2, step=2),
         ])
         with MpdataIslandSolver(
-            SHAPE, 4, threads=4, reuse_output=True,
-            max_retries=1, fault_injector=injector,
+            SHAPE, 4,
+            config=EngineConfig(threads=4, reuse_output=True, max_retries=1),
+            fault_injector=injector,
         ) as solver:
             actual = solver.run(state, 4)
         np.testing.assert_array_equal(actual, expected)
@@ -160,7 +166,7 @@ class TestPerIslandRetry:
         )
         with PartitionedRunner(
             mpdata_program(), SHAPE, islands=3,
-            max_retries=2, fault_injector=injector,
+            config=EngineConfig(max_retries=2), fault_injector=injector,
         ) as runner:
             with pytest.raises(IslandFailure) as excinfo:
                 runner.step(_arrays(state))
@@ -189,7 +195,8 @@ class TestPerIslandRetry:
         )
         with PartitionedRunner(
             mpdata_program(), SHAPE, islands=2,
-            max_retries=3, retry_backoff=0.5, fault_injector=injector,
+            config=EngineConfig(max_retries=3, retry_backoff=0.5),
+            fault_injector=injector,
         ) as runner:
             runner.step(_arrays(state))
         # Exponential backoff per attempt, with the policy's deterministic
@@ -210,7 +217,8 @@ class TestSlowAndCorruptFaults:
             [FaultSpec("slow", island=0, step=1, delay=0.001)]
         )
         with MpdataIslandSolver(
-            SHAPE, 2, reuse_output=True, fault_injector=injector,
+            SHAPE, 2, config=EngineConfig(reuse_output=True),
+            fault_injector=injector,
         ) as solver:
             actual = solver.run(state, 2)
         np.testing.assert_array_equal(actual, expected)
@@ -233,7 +241,8 @@ class TestPartialFailureInvalidation:
         injector = FaultInjector([FaultSpec("crash", island=1, step=1)])
         with PartitionedRunner(
             mpdata_program(), SHAPE, islands=2,
-            reuse_buffers=True, reuse_output=True, fault_injector=injector,
+            config=EngineConfig(reuse_buffers=True, reuse_output=True),
+            fault_injector=injector,
         ) as runner:
             arrays = _arrays(state)
             arrays["x"] = runner.step(arrays)
@@ -252,7 +261,8 @@ class TestPartialFailureInvalidation:
         )
         with PartitionedRunner(
             mpdata_program(), SHAPE, islands=2,
-            reuse_buffers=True, reuse_output=True, fault_injector=injector,
+            config=EngineConfig(reuse_buffers=True, reuse_output=True),
+            fault_injector=injector,
         ) as runner:
             arrays = _arrays(state)
             first = runner.step(arrays)
@@ -269,7 +279,8 @@ class TestPartialFailureInvalidation:
         injector = FaultInjector([FaultSpec("crash", island=0, step=0)])
         with PartitionedRunner(
             mpdata_program(), SHAPE, islands=2,
-            reuse_buffers=True, reuse_output=True, fault_injector=injector,
+            config=EngineConfig(reuse_buffers=True, reuse_output=True),
+            fault_injector=injector,
         ) as runner:
             arrays = _arrays(state)
             with pytest.raises(IslandFailure):
@@ -282,7 +293,7 @@ class TestPartialFailureInvalidation:
         injector = FaultInjector([FaultSpec("crash", island=0, step=0)])
         with PartitionedRunner(
             mpdata_program(), SHAPE, islands=2,
-            reuse_buffers=False, fault_injector=injector,
+            config=EngineConfig(reuse_buffers=False), fault_injector=injector,
         ) as runner:
             with pytest.raises(IslandFailure):
                 runner.step(_arrays(state))
@@ -301,8 +312,10 @@ class TestGracefulDegradation:
                 pass
 
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=3, threads=3,
-            reuse_buffers=True, reuse_output=True,
+            mpdata_program(), SHAPE, islands=3,
+            config=EngineConfig(
+                threads=3, reuse_buffers=True, reuse_output=True,
+            ),
         ) as runner:
             runner._pool = BrokenPool()
             arrays = _arrays(state)
@@ -335,8 +348,10 @@ class TestGracefulDegradation:
                 pass
 
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=3, threads=3,
-            reuse_buffers=True, reuse_output=True,
+            mpdata_program(), SHAPE, islands=3,
+            config=EngineConfig(
+                threads=3, reuse_buffers=True, reuse_output=True,
+            ),
         ) as runner:
             runner._pool = HalfBrokenPool()
             out = runner.step(_arrays(state))
@@ -345,7 +360,7 @@ class TestGracefulDegradation:
 
     def test_closed_runner_still_raises_not_degrades(self, state):
         runner = PartitionedRunner(
-            mpdata_program(), SHAPE, islands=2, threads=2,
+            mpdata_program(), SHAPE, islands=2, config=EngineConfig(threads=2),
         )
         runner.close()
         with pytest.raises(RuntimeError, match="closed"):
@@ -359,8 +374,10 @@ class TestSteadyStateWithFaultMachinery:
         injector = FaultInjector([])  # armed, never fires
         with PartitionedRunner(
             mpdata_program(), SHAPE, islands=3,
-            reuse_buffers=True, reuse_output=True,
-            max_retries=2, fault_injector=injector,
+            config=EngineConfig(
+                reuse_buffers=True, reuse_output=True, max_retries=2,
+            ),
+            fault_injector=injector,
         ) as runner:
             arrays = _arrays(state)
             arrays["x"] = runner.step(arrays)  # warm-up
@@ -374,8 +391,10 @@ class TestSteadyStateWithFaultMachinery:
         injector = FaultInjector([FaultSpec("crash", island=1, step=2)])
         with PartitionedRunner(
             mpdata_program(), SHAPE, islands=3,
-            reuse_buffers=True, reuse_output=True,
-            max_retries=2, fault_injector=injector,
+            config=EngineConfig(
+                reuse_buffers=True, reuse_output=True, max_retries=2,
+            ),
+            fault_injector=injector,
         ) as runner:
             arrays = _arrays(state)
             arrays["x"] = runner.step(arrays)

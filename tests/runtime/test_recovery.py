@@ -10,6 +10,7 @@ import pytest
 
 from repro.mpdata import MpdataSolver, load_checkpoint, random_state
 from repro.runtime import (
+    EngineConfig,
     FaultInjector,
     FaultSpec,
     MpdataIslandSolver,
@@ -79,7 +80,8 @@ class TestRollbackAndReplay:
         expected = MpdataSolver(SHAPE).run(state, 8)
         injector = FaultInjector([FaultSpec("corrupt", island=1, step=5)])
         with MpdataIslandSolver(
-            SHAPE, 3, reuse_output=True, fault_injector=injector,
+            SHAPE, 3, config=EngineConfig(reuse_output=True),
+            fault_injector=injector,
         ) as solver:
             actual = solver.run(
                 state, 8, recovery=RecoveryPolicy(checkpoint_every=3)
@@ -100,8 +102,8 @@ class TestRollbackAndReplay:
             [FaultSpec("crash", island=0, step=4, attempts=2)]
         )
         with MpdataIslandSolver(
-            SHAPE, 2, reuse_output=True,
-            max_retries=1, fault_injector=injector,
+            SHAPE, 2, config=EngineConfig(reuse_output=True, max_retries=1),
+            fault_injector=injector,
         ) as solver:
             actual = solver.run(
                 state, 6, recovery=RecoveryPolicy(checkpoint_every=2)
@@ -119,7 +121,8 @@ class TestRollbackAndReplay:
             [FaultSpec("corrupt", island=0, step=2, value=1e9)]
         )
         with MpdataIslandSolver(
-            SHAPE, 2, reuse_output=True, fault_injector=injector,
+            SHAPE, 2, config=EngineConfig(reuse_output=True),
+            fault_injector=injector,
         ) as solver:
             actual = solver.run(
                 state,
@@ -137,8 +140,8 @@ class TestRollbackAndReplay:
             [FaultSpec("crash", island=0, step=3, attempts=999)]
         )
         with MpdataIslandSolver(
-            SHAPE, 2, reuse_output=True,
-            max_retries=1, fault_injector=injector,
+            SHAPE, 2, config=EngineConfig(reuse_output=True, max_retries=1),
+            fault_injector=injector,
         ) as solver:
             with pytest.raises(UnrecoverableRunError) as excinfo:
                 solver.run(
@@ -155,7 +158,9 @@ class TestRollbackAndReplay:
         assert report.completed_steps == 2  # the last good step
 
     def test_clean_run_reports_clean(self, state):
-        with MpdataIslandSolver(SHAPE, 2, reuse_output=True) as solver:
+        with MpdataIslandSolver(
+            SHAPE, 2, config=EngineConfig(reuse_output=True),
+        ) as solver:
             expected = MpdataSolver(SHAPE).run(state, 4)
             actual = solver.run(
                 state, 4, recovery=RecoveryPolicy(checkpoint_every=2)
@@ -168,7 +173,7 @@ class TestRollbackAndReplay:
     def test_clean_run_with_guards_stays_allocation_free(self, state):
         """Guards and checkpoints never touch the runner's zero-alloc path."""
         with MpdataIslandSolver(
-            SHAPE, 3, reuse_output=True, max_retries=2,
+            SHAPE, 3, config=EngineConfig(reuse_output=True, max_retries=2),
         ) as solver:
             solver.run(
                 state, 5, recovery=RecoveryPolicy(checkpoint_every=2)
@@ -181,7 +186,9 @@ class TestAcceptance50Steps:
         """ISSUE acceptance: faults in <= 2 islands per step, 50 steps,
         final output bit-identical to the fault-free run."""
         steps = 50
-        with MpdataIslandSolver(SHAPE, 4, reuse_output=True) as clean:
+        with MpdataIslandSolver(
+            SHAPE, 4, config=EngineConfig(reuse_output=True),
+        ) as clean:
             expected = np.array(clean.run(state, steps), copy=True)
 
         specs = []
@@ -192,8 +199,8 @@ class TestAcceptance50Steps:
             )
         injector = FaultInjector(specs)
         with MpdataIslandSolver(
-            SHAPE, 4, reuse_output=True,
-            max_retries=2, fault_injector=injector,
+            SHAPE, 4, config=EngineConfig(reuse_output=True, max_retries=2),
+            fault_injector=injector,
         ) as solver:
             actual = solver.run(
                 state,
@@ -217,7 +224,9 @@ class TestCheckpointedCrashResume:
 
     def test_resume_after_crash_is_bit_identical(self, state, tmp_path):
         steps = 20
-        with MpdataIslandSolver(SHAPE, 3, reuse_output=True) as clean:
+        with MpdataIslandSolver(
+            SHAPE, 3, config=EngineConfig(reuse_output=True),
+        ) as clean:
             unbroken = np.array(clean.run(state, steps), copy=True)
 
         # A persistent fault at step 13 kills the run (no retries, no
@@ -226,7 +235,8 @@ class TestCheckpointedCrashResume:
             [FaultSpec("crash", island=1, step=13, attempts=999)]
         )
         with MpdataIslandSolver(
-            SHAPE, 3, reuse_output=True, fault_injector=injector,
+            SHAPE, 3, config=EngineConfig(reuse_output=True),
+            fault_injector=injector,
         ) as doomed:
             with pytest.raises(UnrecoverableRunError) as excinfo:
                 doomed.run(
@@ -243,12 +253,16 @@ class TestCheckpointedCrashResume:
         assert checkpoint.step == 12
 
         # A fresh solver (fresh process, conceptually) resumes from disk.
-        with MpdataIslandSolver(SHAPE, 3, reuse_output=True) as resumed:
+        with MpdataIslandSolver(
+            SHAPE, 3, config=EngineConfig(reuse_output=True),
+        ) as resumed:
             final = resumed.run(checkpoint.state, steps - checkpoint.step)
         np.testing.assert_array_equal(final, unbroken)
 
     def test_disk_checkpoints_pruned_to_keep_last(self, state, tmp_path):
-        with MpdataIslandSolver(SHAPE, 2, reuse_output=True) as solver:
+        with MpdataIslandSolver(
+            SHAPE, 2, config=EngineConfig(reuse_output=True),
+        ) as solver:
             solver.run(
                 state,
                 12,
@@ -283,7 +297,8 @@ class TestRunWithRecoveryDirect:
     def test_guard_trip_without_rollback_budget(self, state):
         injector = FaultInjector([FaultSpec("corrupt", island=0, step=1)])
         with MpdataIslandSolver(
-            SHAPE, 2, reuse_output=True, fault_injector=injector,
+            SHAPE, 2, config=EngineConfig(reuse_output=True),
+            fault_injector=injector,
         ) as solver:
             with pytest.raises(UnrecoverableRunError) as excinfo:
                 solver.run(

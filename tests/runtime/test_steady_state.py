@@ -13,6 +13,7 @@ import pytest
 
 from repro.mpdata import MpdataSolver, random_state
 from repro.runtime import (
+    EngineConfig,
     MpdataIslandSolver,
     PartitionedRunner,
     measure_steady_state,
@@ -40,7 +41,10 @@ class TestZeroAllocationSteadyState:
     def test_zero_allocations_after_warmup(self, state, compiled):
         with PartitionedRunner(
             mpdata_program(), SHAPE, islands=3,
-            compiled=compiled, reuse_buffers=True, reuse_output=True,
+            config=EngineConfig(
+                backend="compiled" if compiled else "interpreter",
+                reuse_buffers=True, reuse_output=True,
+            ),
         ) as runner:
             arrays = _arrays(state)
             arrays["x"] = runner.step(arrays)  # warm-up allocates everything
@@ -53,8 +57,10 @@ class TestZeroAllocationSteadyState:
 
     def test_threaded_steady_state_zero_allocations(self, state):
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=4, threads=4,
-            reuse_buffers=True, reuse_output=True,
+            mpdata_program(), SHAPE, islands=4,
+            config=EngineConfig(
+                threads=4, reuse_buffers=True, reuse_output=True,
+            ),
         ) as runner:
             arrays = _arrays(state)
             arrays["x"] = runner.step(arrays)
@@ -63,7 +69,8 @@ class TestZeroAllocationSteadyState:
 
     def test_naive_mode_allocates_every_step(self, state):
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=2, reuse_buffers=False,
+            mpdata_program(), SHAPE, islands=2,
+            config=EngineConfig(reuse_buffers=False),
         ) as runner:
             arrays = _arrays(state)
             for _ in range(2):
@@ -77,7 +84,7 @@ class TestZeroAllocationSteadyState:
     def test_reuse_output_returns_same_buffer(self, state):
         with PartitionedRunner(
             mpdata_program(), SHAPE, islands=2,
-            reuse_buffers=True, reuse_output=True,
+            config=EngineConfig(reuse_buffers=True, reuse_output=True),
         ) as runner:
             first = runner.step(_arrays(state))
             second = runner.step(_arrays(state), changed={"x"})
@@ -89,17 +96,23 @@ class TestBitIdentity:
     def test_engine_matches_whole_domain(self, state, compiled):
         expected = MpdataSolver(SHAPE).run(state, 3)
         with MpdataIslandSolver(
-            SHAPE, 3, compiled=compiled,
-            reuse_buffers=True, reuse_output=True,
+            SHAPE, 3,
+            config=EngineConfig(
+                backend="compiled" if compiled else "interpreter",
+                reuse_buffers=True, reuse_output=True,
+            ),
         ) as solver:
             actual = solver.run(state, 3)
         np.testing.assert_array_equal(actual, expected)
 
     def test_engine_matches_naive_runner(self, state):
-        with MpdataIslandSolver(SHAPE, 2, reuse_buffers=False) as naive:
+        with MpdataIslandSolver(
+            SHAPE, 2, config=EngineConfig(reuse_buffers=False),
+        ) as naive:
             expected = naive.run(state, 2)
         with MpdataIslandSolver(
-            SHAPE, 2, reuse_buffers=True, reuse_output=True
+            SHAPE, 2,
+            config=EngineConfig(reuse_buffers=True, reuse_output=True),
         ) as engine:
             actual = engine.run(state, 2)
         np.testing.assert_array_equal(actual, expected)
@@ -114,9 +127,11 @@ class TestBitIdentity:
 
     def test_changed_hint_is_bit_identical_to_full_refill(self, state):
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=2, reuse_buffers=True,
+            mpdata_program(), SHAPE, islands=2,
+            config=EngineConfig(reuse_buffers=True),
         ) as hinted, PartitionedRunner(
-            mpdata_program(), SHAPE, islands=2, reuse_buffers=True,
+            mpdata_program(), SHAPE, islands=2,
+            config=EngineConfig(reuse_buffers=True),
         ) as refilled:
             arrays_a = _arrays(state)
             arrays_b = _arrays(state)
@@ -131,7 +146,7 @@ class TestBitIdentity:
 class TestLifecycle:
     def test_close_is_idempotent_and_context_manager(self, state):
         runner = PartitionedRunner(
-            mpdata_program(), SHAPE, islands=2, threads=2,
+            mpdata_program(), SHAPE, islands=2, config=EngineConfig(threads=2),
         )
         runner.step(_arrays(state))
         assert runner._pool is not None  # pool persisted across the call
@@ -141,14 +156,16 @@ class TestLifecycle:
 
     def test_threaded_step_after_close_rejected(self, state):
         runner = PartitionedRunner(
-            mpdata_program(), SHAPE, islands=2, threads=2,
+            mpdata_program(), SHAPE, islands=2, config=EngineConfig(threads=2),
         )
         runner.close()
         with pytest.raises(RuntimeError, match="closed"):
             runner.step(_arrays(state))
 
     def test_solver_context_manager_closes_runner(self, state):
-        with MpdataIslandSolver(SHAPE, 2, threads=2) as solver:
+        with MpdataIslandSolver(
+            SHAPE, 2, config=EngineConfig(threads=2),
+        ) as solver:
             solver.run(state, 2)
             pool = solver.runner._pool
             assert pool is not None

@@ -18,6 +18,7 @@ from repro.cli import build_parser
 from repro.mpdata import random_state
 from repro.mpdata.stages import FIELD_X
 from repro.runtime import (
+    BACKENDS,
     EngineConfig,
     FaultInjector,
     FaultSpec,
@@ -79,11 +80,39 @@ class TestBitIdentityMatrix:
         np.testing.assert_array_equal(final, reference)
 
 
+class TestOneRecomputePath:
+    """A plain step is the depth-1 super-step: every backend keeps one
+    compute object per island and sub-step, ``s`` per island."""
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    @pytest.mark.parametrize("sync_every", [1, 2])
+    def test_one_compute_object_per_sub_step(self, backend, sync_every):
+        if backend == "native" and not native_available():
+            pytest.skip("needs cffi and a system C compiler")
+        extra = {"workers": 1} if backend == "procs" else {}
+        config = _config(backend, "recompute", sync_every, **extra)
+        with MpdataIslandSolver(SHAPE, 2, config=config) as solver:
+            executor = solver.runner.backend
+            if backend == "procs":
+                # The worker builds its compute state in its own address
+                # space; the serial-fallback inner is built by the same
+                # code, in the parent, where the test can see it.
+                executor = executor._ensure_parent_inner()
+            per_island = (
+                executor.arenas
+                if executor.key == "interpreter"
+                else executor.plans
+            )
+            assert sorted(per_island) == [0, 1]
+            for objects in per_island.values():
+                assert len(objects) == sync_every
+
+
 class TestPartialSuperSteps:
     def test_remainder_of_one_runs_through_super_path(self, reference):
         """5 steps at s=4 is one full super-step plus a remainder of 1;
-        the super-prepared backend has no per-step state, so even that
-        single step must run the composed path — and stay bit-exact."""
+        the remainder runs the deepest composed plan alone — and stays
+        bit-exact."""
         expected = _trajectory(EngineConfig(backend="compiled"), steps=5)
         actual = _trajectory(_config("compiled", "recompute", 4), steps=5)
         np.testing.assert_array_equal(actual, expected)

@@ -14,6 +14,7 @@ import pytest
 
 from repro.mpdata import mpdata_program, random_state
 from repro.runtime import (
+    EngineConfig,
     MpdataIslandSolver,
     PartitionedRunner,
     StepTimings,
@@ -58,12 +59,17 @@ class _FlakyCompiled:
 class TestBitIdentity:
     def test_fifty_steps_tiled_equals_flat(self, state):
         """The acceptance run: 50 MPDATA steps, tiled vs flat, bit-equal."""
-        flat = MpdataIslandSolver(SHAPE, 3, compiled=True)
+        flat = MpdataIslandSolver(
+            SHAPE, 3, config=EngineConfig(backend="compiled"),
+        )
         with flat:
             expected = np.array(flat.run(state, 50), copy=True)
         for intra in (1, 2):
             with MpdataIslandSolver(
-                SHAPE, 3, block_shape=BLOCK, intra_threads=intra
+                SHAPE, 3,
+                config=EngineConfig(
+                    backend="tiled", block_shape=BLOCK, intra_threads=intra,
+                ),
             ) as tiled:
                 actual = tiled.run(state, 50)
             np.testing.assert_array_equal(expected, actual)
@@ -71,25 +77,38 @@ class TestBitIdentity:
     def test_tiled_equals_interpreted(self, state):
         with MpdataIslandSolver(SHAPE, 2) as plain:
             expected = np.array(plain.run(state, 5), copy=True)
-        with MpdataIslandSolver(SHAPE, 2, block_shape=(4, 4, 4)) as tiled:
+        with MpdataIslandSolver(
+            SHAPE, 2,
+            config=EngineConfig(backend="tiled", block_shape=(4, 4, 4)),
+        ) as tiled:
             actual = tiled.run(state, 5)
         np.testing.assert_array_equal(expected, actual)
 
     def test_tiled_with_island_threads(self, state):
         """Inter-island threads and intra-island teams compose."""
-        with MpdataIslandSolver(SHAPE, 2, compiled=True) as flat:
+        with MpdataIslandSolver(
+            SHAPE, 2, config=EngineConfig(backend="compiled"),
+        ) as flat:
             expected = np.array(flat.run(state, 4), copy=True)
         with MpdataIslandSolver(
-            SHAPE, 2, threads=2, block_shape=BLOCK, intra_threads=2
+            SHAPE, 2,
+            config=EngineConfig(
+                backend="tiled", threads=2, block_shape=BLOCK, intra_threads=2,
+            ),
         ) as tiled:
             actual = tiled.run(state, 4)
         np.testing.assert_array_equal(expected, actual)
 
     def test_open_boundary(self, state):
-        with MpdataIslandSolver(SHAPE, 2, boundary="open", compiled=True) as flat:
+        with MpdataIslandSolver(
+            SHAPE, 2, config=EngineConfig(backend="compiled", boundary="open"),
+        ) as flat:
             expected = np.array(flat.run(state, 5), copy=True)
         with MpdataIslandSolver(
-            SHAPE, 2, boundary="open", block_shape=(4, 4, 4)
+            SHAPE, 2,
+            config=EngineConfig(
+                backend="tiled", boundary="open", block_shape=(4, 4, 4),
+            ),
         ) as tiled:
             actual = tiled.run(state, 5)
         np.testing.assert_array_equal(expected, actual)
@@ -98,8 +117,10 @@ class TestBitIdentity:
 class TestSteadyState:
     def test_zero_allocations_after_warmup(self, state):
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=3, block_shape=BLOCK,
-            reuse_output=True,
+            mpdata_program(), SHAPE, islands=3,
+            config=EngineConfig(
+                backend="tiled", block_shape=BLOCK, reuse_output=True,
+            ),
         ) as runner:
             arrays = _arrays(state)
             arrays["x"] = runner.step(arrays)  # warm-up fills workspaces
@@ -112,17 +133,10 @@ class TestSteadyState:
 
     def test_intra_threads_require_block_shape(self):
         with pytest.raises(ValueError, match="block_shape"):
-            PartitionedRunner(mpdata_program(), SHAPE, islands=2, intra_threads=2)
-
-    def test_block_shape_takes_precedence_over_compiled(self, state):
-        with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=2, compiled=True,
-            block_shape=(4, 4, 4),
-        ) as runner:
-            assert runner._tiled is not None
-            arrays = _arrays(state)
-            runner.step(arrays)
-            assert sum(p.block_count for p in runner._tiled.values()) > 1
+            PartitionedRunner(
+                mpdata_program(), SHAPE, islands=2,
+                config=EngineConfig(intra_threads=2),
+            )
 
 
 class TestRetryComposition:
@@ -130,12 +144,17 @@ class TestRetryComposition:
         """One poisoned block fails its island's first attempt; the retry
         resets the island's workspaces, re-sweeps every block, and the
         step's result is still bit-identical to the flat engine."""
-        with MpdataIslandSolver(SHAPE, 2, compiled=True) as flat:
+        with MpdataIslandSolver(
+            SHAPE, 2, config=EngineConfig(backend="compiled"),
+        ) as flat:
             expected = np.array(flat.run(state, 3), copy=True)
         with MpdataIslandSolver(
-            SHAPE, 2, block_shape=BLOCK, max_retries=1
+            SHAPE, 2,
+            config=EngineConfig(
+                backend="tiled", block_shape=BLOCK, max_retries=1,
+            ),
         ) as solver:
-            task = solver.runner._tiled[0].tasks[1]
+            task = solver.runner.backend.plans[0][0].tasks[1]
             task.compiled = _FlakyCompiled(task.compiled, failures=1)
             actual = solver.run(state, 3)
             stats = solver.runner.fault_stats
@@ -147,8 +166,10 @@ class TestRetryComposition:
     def test_exhausted_retries_fail_the_step(self, state):
         from repro.runtime import IslandFailure
 
-        with MpdataIslandSolver(SHAPE, 2, block_shape=BLOCK) as solver:
-            task = solver.runner._tiled[1].tasks[0]
+        with MpdataIslandSolver(
+            SHAPE, 2, config=EngineConfig(backend="tiled", block_shape=BLOCK),
+        ) as solver:
+            task = solver.runner.backend.plans[1][0].tasks[0]
             task.compiled = _FlakyCompiled(task.compiled, failures=10)
             with pytest.raises(IslandFailure):
                 solver.run(state, 1)
@@ -157,11 +178,16 @@ class TestRetryComposition:
         """The existing fault injector composes with tiled islands."""
         from repro.runtime import FaultInjector
 
-        with MpdataIslandSolver(SHAPE, 2, compiled=True) as flat:
+        with MpdataIslandSolver(
+            SHAPE, 2, config=EngineConfig(backend="compiled"),
+        ) as flat:
             expected = np.array(flat.run(state, 4), copy=True)
         injector = FaultInjector.from_strings(["crash@island=1,step=2"])
         with MpdataIslandSolver(
-            SHAPE, 2, block_shape=BLOCK, max_retries=2,
+            SHAPE, 2,
+            config=EngineConfig(
+                backend="tiled", block_shape=BLOCK, max_retries=2,
+            ),
             fault_injector=injector,
         ) as solver:
             actual = solver.run(state, 4)
@@ -171,8 +197,10 @@ class TestRetryComposition:
 class TestTimings:
     def test_tiled_step_timings(self, state):
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=3, block_shape=BLOCK,
-            collect_timings=True,
+            mpdata_program(), SHAPE, islands=3,
+            config=EngineConfig(
+                backend="tiled", block_shape=BLOCK, collect_timings=True,
+            ),
         ) as runner:
             arrays = _arrays(state)
             runner.step(arrays)
@@ -186,8 +214,8 @@ class TestTimings:
 
     def test_flat_compiled_step_timings(self, state):
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=2, compiled=True,
-            collect_timings=True,
+            mpdata_program(), SHAPE, islands=2,
+            config=EngineConfig(backend="compiled", collect_timings=True),
         ) as runner:
             arrays = _arrays(state)
             runner.step(arrays)
@@ -198,7 +226,8 @@ class TestTimings:
 
     def test_interpreted_step_timings(self, state):
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=2, collect_timings=True,
+            mpdata_program(), SHAPE, islands=2,
+            config=EngineConfig(collect_timings=True),
         ) as runner:
             arrays = _arrays(state)
             runner.step(arrays)
@@ -208,7 +237,8 @@ class TestTimings:
 
     def test_timings_off_by_default(self, state):
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=2, block_shape=BLOCK,
+            mpdata_program(), SHAPE, islands=2,
+            config=EngineConfig(backend="tiled", block_shape=BLOCK),
         ) as runner:
             arrays = _arrays(state)
             runner.step(arrays)
@@ -216,8 +246,10 @@ class TestTimings:
 
     def test_render_mentions_islands_blocks_and_stages(self, state):
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=2, block_shape=BLOCK,
-            collect_timings=True,
+            mpdata_program(), SHAPE, islands=2,
+            config=EngineConfig(
+                backend="tiled", block_shape=BLOCK, collect_timings=True,
+            ),
         ) as runner:
             arrays = _arrays(state)
             runner.step(arrays)
@@ -227,10 +259,15 @@ class TestTimings:
         assert "top stages" in text
 
     def test_bit_identity_unaffected_by_timing(self, state):
-        with MpdataIslandSolver(SHAPE, 2, block_shape=BLOCK) as plain:
+        with MpdataIslandSolver(
+            SHAPE, 2, config=EngineConfig(backend="tiled", block_shape=BLOCK),
+        ) as plain:
             expected = np.array(plain.run(state, 3), copy=True)
         with MpdataIslandSolver(
-            SHAPE, 2, block_shape=BLOCK, collect_timings=True
+            SHAPE, 2,
+            config=EngineConfig(
+                backend="tiled", block_shape=BLOCK, collect_timings=True,
+            ),
         ) as timed:
             actual = timed.run(state, 3)
         np.testing.assert_array_equal(expected, actual)

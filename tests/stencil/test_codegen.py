@@ -89,14 +89,14 @@ class TestCompileMpdata:
         np.testing.assert_array_equal(plain, fast)
 
     def test_islands_compiled_flag(self):
-        from repro.runtime import MpdataIslandSolver
+        from repro.runtime import EngineConfig, MpdataIslandSolver
 
         shape = (14, 10, 8)
         state = random_state(shape, seed=7)
         plain = MpdataIslandSolver(shape, 3).run(state, 2)
-        fast = MpdataIslandSolver(shape, 3, compiled=True, threads=3).run(
-            state, 2
-        )
+        fast = MpdataIslandSolver(
+            shape, 3, config=EngineConfig(backend="compiled", threads=3),
+        ).run(state, 2)
         np.testing.assert_array_equal(plain, fast)
 
     def test_all_17_stages_in_source(self, mpdata):

@@ -120,6 +120,20 @@ class TestEngineValidation:
         err = self._error(capsys, ["engine", "--islands", "0"])
         assert "--islands" in err
 
+    @pytest.mark.parametrize("argv, axis", [
+        (["--islands", "9"], "axis i"),
+        (["--variant", "B", "--shape", "16", "8", "8", "--islands", "9"],
+         "axis j"),
+        (["--variant", "2D", "--grid", "9", "1"], "axis i"),
+        (["--variant", "2D", "--grid", "1", "9"], "axis j"),
+    ])
+    def test_islands_must_fit_the_split_axis(self, capsys, argv, axis):
+        err = self._error(
+            capsys, ["engine", "--shape", "8", "8", "8", "--steps", "1"] + argv
+        )
+        assert axis in err
+        assert "only 8 cells" in err
+
 
 class TestCommands:
     def test_table2_output(self, capsys):

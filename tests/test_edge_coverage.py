@@ -8,7 +8,7 @@ from repro.core import scenario_costs, Variant, partition_domain
 from repro.experiments import ExperimentSetup
 from repro.machine import sgi_uv2000
 from repro.mpdata import mpdata_program
-from repro.runtime import PartitionedRunner
+from repro.runtime import EngineConfig, PartitionedRunner
 from repro.stencil import (
     Access,
     ArrayRegion,
@@ -91,7 +91,9 @@ class TestSmallBehaviours:
 
     def test_threaded_runner_propagates_errors(self, mpdata):
         """An island failure must surface, not vanish in the pool."""
-        runner = PartitionedRunner(mpdata, (16, 12, 8), islands=4, threads=4)
+        runner = PartitionedRunner(
+            mpdata, (16, 12, 8), islands=4, config=EngineConfig(threads=4),
+        )
         bad = {
             "x": np.zeros((16, 12, 8)),
             "u1": np.zeros((16, 12, 8)),
